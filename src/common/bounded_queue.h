@@ -15,10 +15,10 @@
 // producer thread that feeds every other tenant.
 //
 // Synchronization: one internal mutex at rank lock_order::kFleetQueue.
-// Producers take it with nothing else held; the servicing fleet worker pops
-// while holding its tenant lock (rank kFleetTenant, strictly below), so the
-// acquisition order is covered by the ranked hierarchy, CL009-CL011 and the
-// runtime lock-order tracker like every other lock in the tree.
+// Producers and the servicing fleet worker both take it with nothing else
+// held — the worker pops a sample, releases the queue, then pushes the
+// sample into the tenant's StreamingCad — so the queue never nests with
+// another lock.
 #ifndef CAD_COMMON_BOUNDED_QUEUE_H_
 #define CAD_COMMON_BOUNDED_QUEUE_H_
 
@@ -95,8 +95,8 @@ class BoundedSampleQueue {
   const int sample_width_;
   const int capacity_;
 
-  // Rank 18 (common/lock_order.h): producers hold nothing else; the fleet
-  // worker pops under its tenant lock (rank 16), never the other way around.
+  // Rank 18 (common/lock_order.h): producers and the fleet worker hold
+  // nothing else while they take it.
   mutable Mutex mu_{lock_order::kFleetQueue,
                     "common::BoundedSampleQueue::mu_"};
   std::vector<double> slots_ GUARDED_BY(mu_);  // ring storage, never resized

@@ -20,26 +20,19 @@
 //    14  | fleet::WeightedScheduler::mu_       | pick/release bookkeeping;
 //         |                                     | always taken with nothing
 //         |                                     | else held — workers pick,
-//         |                                     | release, *then* lock the
+//         |                                     | release, *then* service the
 //         |                                     | tenant they were handed.
 //    15  | fleet::WorkspacePool::mu_           | arena free-list pops; taken
-//         |                                     | between scheduler release
-//         |                                     | and the tenant lock, never
-//         |                                     | nested under either.
-//    16  | fleet::FleetEngine Tenant::mu       | per-tenant engine + window
-//         |                                     | state, held for a whole
-//         |                                     | service quantum; a round
-//         |                                     | records telemetry (rank 30)
-//         |                                     | and pops the tenant's
-//         |                                     | ingestion queue (rank 18)
-//         |                                     | while holding it.
+//         |                                     | alone, never nested under
+//         |                                     | the scheduler or a stream.
 //    18  | common::BoundedSampleQueue::mu_     | per-tenant ingestion ring;
-//         |                                     | producers take it alone,
-//         |                                     | the servicing worker takes
-//         |                                     | it under the tenant lock.
-//    20  | core::StreamingCad::mu_             | the per-stream driver lock;
-//         |                                     | a round records telemetry
-//         |                                     | and spans while holding it.
+//         |                                     | producers and the servicing
+//         |                                     | worker both take it alone.
+//    20  | core::StreamingCad::mu_             | the per-stream driver lock
+//         |                                     | (a solo stream or one fleet
+//         |                                     | tenant); a round records
+//         |                                     | telemetry and spans while
+//         |                                     | holding it.
 //    30  | obs::Registry::mu_                  | registration + snapshot of
 //         |                                     | the metrics registry,
 //         |                                     | taken inside a round.
@@ -80,20 +73,15 @@ inline constexpr int kExpositionJoin = 10;
 inline constexpr int kFleetScheduler = 14;
 
 // fleet::WorkspacePool::mu_ — RoundWorkspace arena free lists, taken alone
-// between the scheduler handoff and the tenant lock.
+// after the scheduler handoff.
 inline constexpr int kFleetWorkspacePool = 15;
 
-// fleet::FleetEngine's per-tenant state lock (engine, ingest window), held
-// for a whole service quantum; queue pops (rank 18) and telemetry (rank 30+)
-// happen under it.
-inline constexpr int kFleetTenant = 16;
-
 // common::BoundedSampleQueue::mu_ — the per-tenant bounded ingestion ring.
-// Producers take it alone; the servicing worker takes it while holding the
-// tenant lock, so it must rank above kFleetTenant.
+// Producers and the servicing worker both take it with nothing else held.
 inline constexpr int kFleetQueue = 18;
 
-// core::StreamingCad::mu_ — the streaming driver's round/state lock.
+// core::StreamingCad::mu_ — the streaming driver's round/state lock, one per
+// solo stream or fleet tenant.
 inline constexpr int kStreamingCad = 20;
 
 // obs::Registry::mu_ — metrics registration and snapshots.

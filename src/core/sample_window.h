@@ -1,18 +1,15 @@
-// core::SampleWindow — the streaming ingest state extracted from
-// StreamingCad so every online driver shares one implementation: a ring of
-// the last `window` samples (sample-major) plus the round cadence rule of
-// paper Section IV-F (a round closes every `step` samples once `window`
-// samples have been seen).
+// core::SampleWindow — StreamingCad's ingest state: a ring of the last
+// `window` samples (sample-major) plus the round cadence rule of paper
+// Section IV-F (a round closes every `step` samples once `window` samples
+// have been seen).
 //
-// StreamingCad wraps one SampleWindow behind its mutex; fleet::FleetEngine
-// keeps one per tenant behind the tenant lock. Neither copy of the ring
-// logic exists anymore — StreamingCad is a thin single-tenant facade over
-// exactly the ingest -> materialize -> DetectionEngine::Step path the fleet
-// workers drive.
+// StreamingCad wraps one SampleWindow behind its mutex, and every
+// fleet::FleetEngine tenant is a StreamingCad, so this is the one ingest ->
+// materialize -> DetectionEngine::Step path of every online driver.
 //
-// Not synchronized; the owner provides the lock (both owners already hold
-// one across every call). Append and MaterializeInto copy into storage sized
-// at construction, so steady-state ingestion performs zero heap allocations.
+// Not synchronized; the owner provides the lock. Append and MaterializeInto
+// copy into storage sized at construction, so steady-state ingestion
+// performs zero heap allocations.
 #ifndef CAD_CORE_SAMPLE_WINDOW_H_
 #define CAD_CORE_SAMPLE_WINDOW_H_
 

@@ -33,9 +33,14 @@ std::unique_ptr<obs::ExpositionServer> StreamingCad::MakeServer(
     return obs::ToPrometheusText(self->TelemetrySnapshot());
   };
   handlers.healthz_json = [self] { return self->HealthJson(); };
-  handlers.explain_json = [self](int round) { return self->ExplainJson(round); };
-  handlers.advise_json = [self](int from_round, int to_round) {
-    return self->AdviseJson(from_round, to_round);
+  // A solo stream has no tenants: a tenant= query names nothing here (404).
+  handlers.explain_json = [self](const std::string& tenant, int round) {
+    return tenant.empty() ? self->ExplainJson(round) : std::string();
+  };
+  handlers.advise_json = [self](const std::string& tenant, int from_round,
+                                int to_round) {
+    return tenant.empty() ? self->AdviseJson(from_round, to_round)
+                          : std::string();
   };
   Result<std::unique_ptr<obs::ExpositionServer>> server =
       obs::ExpositionServer::Start(
@@ -143,7 +148,8 @@ Result<std::optional<StreamEvent>> StreamingCad::Push(
 }
 
 Result<bool> StreamingCad::Push(std::span<const double> readings,
-                                StreamEvent* event) {
+                                StreamEvent* event,
+                                RoundWorkspace* workspace) {
   if (static_cast<int>(readings.size()) != n_sensors_) {
     return Status::InvalidArgument("sample has " +
                                    std::to_string(readings.size()) +
@@ -154,11 +160,11 @@ Result<bool> StreamingCad::Push(std::span<const double> readings,
   const bool round_due = ingest_.Append(readings);
   metrics_.stream_samples_total->Increment();
   if (!round_due) return false;
-  RunRound(event);
+  RunRound(event, workspace);
   return true;
 }
 
-void StreamingCad::RunRound(StreamEvent* event) {
+void StreamingCad::RunRound(StreamEvent* event, RoundWorkspace* workspace) {
   Stopwatch round_watch;
   // Materialize the ring buffer into the reused window series (sensor-major).
   ingest_.MaterializeInto(&window_);
@@ -168,7 +174,8 @@ void StreamingCad::RunRound(StreamEvent* event) {
   // axis: [samples_seen - window, samples_seen).
   const EngineRound round = engine_.Step(window_, 0,
                                          ingest_.window_start_time(),
-                                         ingest_.window_end_time());
+                                         ingest_.window_end_time(),
+                                         workspace);
 
   event->round = round.round;
   event->time_index = ingest_.samples_seen() - 1;

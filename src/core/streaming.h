@@ -90,8 +90,13 @@ class StreamingCad {
   // rounds — after a few warm rounds a Push performs zero heap allocations
   // end to end, matching the engine's own contract (the cad_round_allocs
   // gauge). The event is untouched when no round completed (false).
+  // `workspace` optionally supplies the round's scratch arena (see
+  // DetectionEngine::Step): fleet::FleetEngine passes pooled arenas so its
+  // tenant streams own none.
   [[nodiscard]] Result<bool> Push(std::span<const double> readings,
-                                  StreamEvent* event) EXCLUDES(mu_);
+                                  StreamEvent* event,
+                                  RoundWorkspace* workspace = nullptr)
+      EXCLUDES(mu_);
 
   // Anomalies fully closed so far (an anomaly closes when a normal round
   // follows abnormal ones). Returns a copy: a reference into guarded state
@@ -156,8 +161,15 @@ class StreamingCad {
   [[nodiscard]] std::string AdviseJson(int from_round, int to_round) const
       EXCLUDES(mu_);
 
-  // Liveness snapshot (the /healthz payload).
+  // Liveness snapshot, and its /healthz JSON rendering.
   StreamHealth Health() const EXCLUDES(mu_);
+  std::string HealthJson() const EXCLUDES(mu_);
+
+  // The /explain?round=r body: Explain(round) as JSON, empty when the round
+  // is not in the flight-recorder ring (404 upstream).
+  std::string ExplainJson(int round) const EXCLUDES(mu_);
+
+  const CadOptions& options() const { return options_; }
 
   // Port the exposition server is listening on (the resolved ephemeral port
   // when CadOptions::exposition_port was 0), or -1 when no server is running
@@ -169,9 +181,7 @@ class StreamingCad {
  private:
   static std::unique_ptr<obs::ExpositionServer> MakeServer(StreamingCad* self);
 
-  void RunRound(StreamEvent* event) REQUIRES(mu_);
-  std::string HealthJson() const EXCLUDES(mu_);
-  std::string ExplainJson(int round) const EXCLUDES(mu_);
+  void RunRound(StreamEvent* event, RoundWorkspace* workspace) REQUIRES(mu_);
 
   const int n_sensors_;
   const CadOptions options_;
@@ -186,10 +196,9 @@ class StreamingCad {
   // anomaly assembly (engine.h).
   DetectionEngine engine_ GUARDED_BY(mu_);
 
-  // The extracted ingest state (ring buffer + round cadence) shared with the
-  // fleet's per-tenant path, plus the reused sensor-major window the engine
-  // consumes — this driver is a thin single-tenant facade over the same
-  // ingest -> materialize -> engine.Step path fleet::FleetEngine drives.
+  // The ingest state (ring buffer + round cadence) plus the reused
+  // sensor-major window the engine consumes: the one ingest -> materialize
+  // -> engine.Step path, for a solo stream and for every fleet tenant alike.
   SampleWindow ingest_ GUARDED_BY(mu_);
   ts::MultivariateSeries window_ GUARDED_BY(mu_);
 

@@ -7,8 +7,7 @@
 
 #include "check/check.h"
 #include "common/alloc_tracker.h"
-#include "common/stopwatch.h"
-#include "obs/json_util.h"
+#include "obs/export.h"
 
 namespace cad::fleet {
 
@@ -39,19 +38,15 @@ FleetEngine::Tenant::Tenant(std::string tenant_name, int sensors,
       n_sensors(sensors),
       weight(tenant_weight),
       registry(std::make_unique<obs::Registry>()),
-      options([&] {
+      queue(sensors, queue_capacity),
+      stream(sensors, [&] {
         core::CadOptions tenant_options = opts;
         // Pipeline metrics are private per tenant (exposed tenant-labelled
         // by the fleet); a tenant never runs its own exposition server.
         tenant_options.metrics_registry = registry.get();
         tenant_options.exposition_port = -1;
         return tenant_options;
-      }()),
-      queue(sensors, queue_capacity),
-      mu(common::lock_order::kFleetTenant, "fleet::Tenant::mu"),
-      ingest(sensors, options.window, options.step),
-      window_series(sensors, options.window),
-      cad_engine(sensors, options) {}
+      }()) {}
 
 FleetEngine::FleetEngine(const FleetOptions& options)
     : options_(options),
@@ -169,12 +164,19 @@ Result<bool> FleetEngine::Push(int tenant, std::span<const double> readings) {
 }
 
 void FleetEngine::WorkerLoop() {
-  // Per-worker staging row for queue pops, sized for the widest tenant;
-  // allocated once per worker, outside any quantum's allocation audit.
-  std::vector<double> staging(static_cast<size_t>(std::max(max_sensors_, 1)));
+  // Per-worker staging row for queue pops and the event every round reports
+  // into, sized for the widest tenant (an event lists at most n_sensors ids
+  // per vector); allocated once per worker, outside any quantum's allocation
+  // audit.
+  const size_t width = static_cast<size_t>(std::max(max_sensors_, 1));
+  std::vector<double> staging(width);
+  core::StreamEvent event;
+  event.outliers.reserve(width);
+  event.entered.reserve(width);
+  event.entered_movers.reserve(width);
   int idle_spins = 0;
   while (!stop_.load(std::memory_order_acquire)) {
-    if (ServiceOne(&staging)) {
+    if (ServiceOne(&staging, &event)) {
       idle_spins = 0;
       continue;
     }
@@ -191,50 +193,50 @@ void FleetEngine::WorkerLoop() {
   }
 }
 
-bool FleetEngine::ServiceOne(std::vector<double>* staging) {
+bool FleetEngine::ServiceOne(std::vector<double>* staging,
+                             core::StreamEvent* event) {
   int index = -1;
   if (!scheduler_->TryAcquire(&index)) return false;
   Tenant& tenant = *tenants_[static_cast<size_t>(index)];
+  const int window = tenant.stream.options().window;
 
   WorkspacePool::PooledWorkspace* arena = pool_.Acquire(tenant.n_sensors);
   // A quantum is "steady" only if the arena has already served this problem
   // size — otherwise engine buffers grow into it and allocation is expected.
   bool steady = tenant.n_sensors <= arena->max_sensors &&
-                tenant.options.window <= arena->max_window;
+                window <= arena->max_window;
 
+  // An anomaly is open exactly while the latest round was abnormal, so a
+  // round whose verdict differs from the state before it opened or closed
+  // one. Those transitions push onto the anomaly list by design; they are
+  // rare events, not steady-state round work.
+  bool anomaly_open = tenant.stream.anomaly_open();
   const int64_t allocs_before = common::ThreadAllocCount();
   int rounds_run = 0;
-  {
-    common::MutexLock lock(tenant.mu);
-    const bool anomaly_was_open = tenant.cad_engine.anomaly_open();
-    const size_t anomalies_before = tenant.cad_engine.anomalies().size();
-    for (int drained = 0; drained < options_.quantum_samples; ++drained) {
-      if (!tenant.queue.PopInto(staging->data())) break;
-      const bool round_due = tenant.ingest.Append(std::span<const double>(
-          staging->data(), static_cast<size_t>(tenant.n_sensors)));
-      if (!round_due) continue;
-      Stopwatch round_watch;
-      tenant.ingest.MaterializeInto(&tenant.window_series);
-      tenant.cad_engine.Step(tenant.window_series, 0, tenant.ingest.window_start_time(),
-                         tenant.ingest.window_end_time(), &arena->workspace);
-      metrics_.round_seconds->Observe(round_watch.ElapsedSeconds());
-      ++rounds_run;
-      ++tenant.rounds_serviced;
-      if (tenant.rounds_serviced <= static_cast<uint64_t>(options_.alloc_warmup_rounds)) {
-        steady = false;  // capacities still warming
-      }
+  const std::span<const double> row(staging->data(),
+                                    static_cast<size_t>(tenant.n_sensors));
+  for (int drained = 0; drained < options_.quantum_samples; ++drained) {
+    if (!tenant.queue.PopInto(staging->data())) break;
+    const Result<bool> round_closed =
+        tenant.stream.Push(row, event, &arena->workspace);
+    CAD_CHECK(round_closed.ok(), "queue width is the tenant's sensor count");
+    if (!round_closed.value()) continue;
+    metrics_.round_seconds->Observe(event->round_seconds);
+    ++rounds_run;
+    if (event->round < options_.alloc_warmup_rounds ||
+        event->abnormal != anomaly_open) {
+      steady = false;  // capacities still warming, or an anomaly transition
     }
-    // Anomaly open/close transitions push onto the anomaly list by design;
-    // they are rare events, not steady-state round work.
-    if (tenant.cad_engine.anomaly_open() != anomaly_was_open ||
-        tenant.cad_engine.anomalies().size() != anomalies_before) {
-      steady = false;
-    }
+    anomaly_open = event->abnormal;
   }
   const int64_t alloc_delta = common::ThreadAllocCount() - allocs_before;
 
-  arena->max_sensors = std::max(arena->max_sensors, tenant.n_sensors);
-  arena->max_window = std::max(arena->max_window, tenant.options.window);
+  // Only a quantum that ran a round has grown the arena to this problem
+  // size; one that merely buffered samples leaves it as cold as it was.
+  if (rounds_run > 0) {
+    arena->max_sensors = std::max(arena->max_sensors, tenant.n_sensors);
+    arena->max_window = std::max(arena->max_window, window);
+  }
   pool_.Release(arena);
 
   metrics_.quanta_total->Increment();
@@ -266,22 +268,28 @@ Result<int> FleetEngine::TenantIndex(const std::string& name) const {
   return it->second;
 }
 
+const core::StreamingCad* FleetEngine::TenantStream(
+    const std::string& name) const {
+  const auto it = tenant_index_.find(name);
+  return it == tenant_index_.end()
+             ? nullptr
+             : &tenants_[static_cast<size_t>(it->second)]->stream;
+}
+
 Result<FleetEngine::TenantStatus> FleetEngine::TenantInfo(int tenant) const {
   if (tenant < 0 || tenant >= n_tenants()) {
     return Status::InvalidArgument("tenant index " + std::to_string(tenant) +
                                    " out of range");
   }
   const Tenant& t = *tenants_[static_cast<size_t>(tenant)];
+  const core::StreamHealth health = t.stream.Health();
   TenantStatus status;
   status.name = t.name;
   status.weight = t.weight;
   status.n_sensors = t.n_sensors;
-  {
-    common::MutexLock lock(t.mu);
-    status.samples_seen = t.ingest.samples_seen();
-    status.rounds = t.rounds_serviced;
-    status.anomaly_open = t.cad_engine.anomaly_open();
-  }
+  status.samples_seen = health.samples_seen;
+  status.rounds = static_cast<uint64_t>(health.rounds);
+  status.anomaly_open = health.anomaly_open;
   status.accepted = t.queue.accepted();
   status.rejected = t.queue.rejected();
   status.pending = static_cast<uint64_t>(t.queue.size());
@@ -294,9 +302,7 @@ Result<std::vector<core::Anomaly>> FleetEngine::TenantAnomalies(
     return Status::InvalidArgument("tenant index " + std::to_string(tenant) +
                                    " out of range");
   }
-  const Tenant& t = *tenants_[static_cast<size_t>(tenant)];
-  common::MutexLock lock(t.mu);
-  return t.cad_engine.anomalies();
+  return tenants_[static_cast<size_t>(tenant)]->stream.anomalies();
 }
 
 std::string FleetEngine::MetricsText() const {
@@ -314,18 +320,15 @@ std::string FleetEngine::HealthJson() const {
   uint64_t pending = 0;
   uint64_t accepted = 0;
   uint64_t rejected = 0;
+  uint64_t rounds = 0;
+  int anomalies_open = 0;
   for (const std::unique_ptr<Tenant>& tenant : tenants_) {
     pending += static_cast<uint64_t>(tenant->queue.size());
     accepted += tenant->queue.accepted();
     rejected += tenant->queue.rejected();
-  }
-  uint64_t rounds = 0;
-  int anomalies_open = 0;
-  for (const std::unique_ptr<Tenant>& tenant : tenants_) {
-    Tenant& t = *tenant;
-    common::MutexLock lock(t.mu);
-    rounds += t.rounds_serviced;
-    anomalies_open += t.cad_engine.anomaly_open() ? 1 : 0;
+    const core::StreamHealth health = tenant->stream.Health();
+    rounds += static_cast<uint64_t>(health.rounds);
+    anomalies_open += health.anomaly_open ? 1 : 0;
   }
   std::string json = "{\"tenants\":" + std::to_string(tenants_.size());
   json += ",\"workers\":" + std::to_string(options_.n_workers);
@@ -343,16 +346,8 @@ std::string FleetEngine::HealthJson() const {
 
 std::string FleetEngine::ExplainTenantJson(const std::string& tenant,
                                            int round) const {
-  const auto it = tenant_index_.find(tenant);
-  if (it == tenant_index_.end()) return std::string();  // 404 upstream
-  const Tenant& t = *tenants_[static_cast<size_t>(it->second)];
-  std::optional<obs::DecisionProvenance> provenance;
-  {
-    common::MutexLock lock(t.mu);
-    provenance = t.cad_engine.Explain(round);
-  }
-  if (!provenance.has_value()) return std::string();  // 404 upstream
-  return obs::ProvenanceToJson(*provenance);
+  const core::StreamingCad* stream = TenantStream(tenant);
+  return stream != nullptr ? stream->ExplainJson(round) : std::string();
 }
 
 std::unique_ptr<obs::ExpositionServer> FleetEngine::MakeServer(
@@ -361,8 +356,14 @@ std::unique_ptr<obs::ExpositionServer> FleetEngine::MakeServer(
   obs::ExpositionServer::Handlers handlers;
   handlers.metrics_text = [self] { return self->MetricsText(); };
   handlers.healthz_json = [self] { return self->HealthJson(); };
-  handlers.explain_tenant_json = [self](const std::string& tenant, int round) {
+  handlers.explain_json = [self](const std::string& tenant, int round) {
     return self->ExplainTenantJson(tenant, round);
+  };
+  handlers.advise_json = [self](const std::string& tenant, int from_round,
+                                int to_round) {
+    const core::StreamingCad* stream = self->TenantStream(tenant);
+    return stream != nullptr ? stream->AdviseJson(from_round, to_round)
+                             : std::string();
   };
   Result<std::unique_ptr<obs::ExpositionServer>> server =
       obs::ExpositionServer::Start(

@@ -1,22 +1,26 @@
 // fleet::FleetEngine — thousands of tenant streams, one process, one shared
 // worker pool.
 //
-// Hosts N independent core::DetectionEngine instances (one per tenant
-// stream) behind a fixed pool of worker threads:
+// Hosts N independent core::StreamingCad instances (one per tenant stream)
+// behind a fixed pool of worker threads:
 //
 //   producers --TryPush--> per-tenant BoundedSampleQueue   (backpressure)
 //                               |
 //   WeightedScheduler (stride; heavy tenants cannot starve light ones)
 //                               |
-//   worker: drain a quantum of samples -> SampleWindow -> engine.Step
+//   worker: pop a quantum of samples -> StreamingCad::Push
 //           with a RoundWorkspace borrowed from the shared WorkspacePool
 //
-// Each tenant owns a private obs::Registry, so the per-tenant pipeline
-// metrics (cad_rounds_total, cad_round_seconds, ...) never contend across
-// tenants; the fleet exposes them tenant-labelled from one aggregated
+// A tenant is its queue plus a StreamingCad: the fleet runs the very ingest
+// -> materialize -> DetectionEngine::Step path a solo stream runs, and reads
+// health, anomalies, provenance and advice through the same accessors.
+// Each tenant stream records into a private obs::Registry, so the per-tenant
+// pipeline metrics (cad_rounds_total, cad_round_seconds, ...) never contend
+// across tenants; the fleet exposes them tenant-labelled from one aggregated
 // ExpositionServer (`/metrics` with {tenant="..."} labels, `/healthz`
-// rollup, `/explain?tenant=..&round=..` routing). Fleet-level rollups
-// (cad_fleet_*, fleet_metrics.h) live in a separate registry.
+// rollup, `/explain?tenant=..&round=..` and `/advise?tenant=..` routing).
+// Fleet-level rollups (cad_fleet_*, fleet_metrics.h) live in a separate
+// registry.
 //
 // Steady-state allocation contract: after a tenant's warm-up rounds, a
 // service quantum on a warm arena performs zero heap allocations — queue
@@ -31,10 +35,12 @@
 //
 // Lock discipline (ranks in common/lock_order.h; enforced by Clang
 // thread-safety analysis, cad_lint CL009-CL011 and the runtime order
-// tracker): a worker takes scheduler(14) alone, pool(15) alone, then holds
-// tenant(16) across the quantum, inside which queue(18) pops and registry
-// (30) / tracer(31) telemetry nest. Producers take queue(18) alone, then
-// scheduler(14) alone — sequential scopes, never nested.
+// tracker): a worker takes scheduler(14) alone, pool(15) alone, then per
+// sample queue(18) alone and the tenant stream's lock(20), inside which
+// registry(30) / tracer(31) telemetry nest. Producers take queue(18) alone,
+// then scheduler(14) alone — sequential scopes, never nested. The scheduler
+// hands a tenant to one worker at a time, so a stream lock is contended only
+// by the occasional accessor or exposition reader.
 //
 // Threading contract: AddTenant, Start, and any pre-Start Push run on one
 // setup thread (pre-filling queues for deterministic tests/benches). After
@@ -53,20 +59,15 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
-#include "common/lock_order.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/cad_options.h"
-#include "core/engine.h"
-#include "core/sample_window.h"
+#include "core/streaming.h"
+#include "core/types.h"
 #include "fleet/fleet_metrics.h"
 #include "fleet/scheduler.h"
 #include "fleet/workspace_pool.h"
 #include "obs/exposition_server.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
-#include "ts/multivariate_series.h"
 
 namespace cad::fleet {
 
@@ -161,8 +162,8 @@ class FleetEngine {
   };
   [[nodiscard]] Result<TenantStatus> TenantInfo(int tenant) const;
 
-  // Anomalies the tenant's engine has fully closed so far (a copy, taken
-  // under the tenant lock).
+  // Anomalies the tenant's stream has fully closed so far (a copy, taken
+  // under the stream lock).
   [[nodiscard]] Result<std::vector<core::Anomaly>> TenantAnomalies(
       int tenant) const;
 
@@ -180,8 +181,8 @@ class FleetEngine {
   const FleetMetrics& metrics() const { return metrics_; }
 
  private:
-  // One tenant stream: its queue, its engine, and the ingest state the
-  // worker drives under `mu` during a service quantum.
+  // One tenant: its ingestion queue and the stream the workers push into.
+  // Both are internally synchronized; the tenant itself holds no lock.
   struct Tenant {
     Tenant(std::string tenant_name, int sensors, const core::CadOptions& opts,
            double tenant_weight, int queue_capacity);
@@ -191,25 +192,10 @@ class FleetEngine {
     const double weight;
     // Private per-tenant registry: pipeline metrics never contend across
     // tenants and are exposed tenant-labelled by MetricsText(). Declared
-    // before `options`/`engine`, which capture it.
+    // before `stream`, which records into it.
     const std::unique_ptr<obs::Registry> registry;
-    const core::CadOptions options;  // caller's options + private registry
-
-    // cad-lint: allow(CL005) internally synchronized: the queue owns its own rank-18 mutex (common/bounded_queue.h); producers use it without the tenant lock
-    common::BoundedSampleQueue queue;  // internally synchronized (rank 18)
-
-    // Rank 16 (common/lock_order.h): held by the servicing worker across a
-    // quantum; queue(18) pops and telemetry(30/31) nest inside it. The
-    // scheduler's busy flag means at most one worker contends with the
-    // occasional accessor/exposition reader.
-    mutable common::Mutex mu;
-    core::SampleWindow ingest GUARDED_BY(mu);
-    // Distinctive names (not `window`/`engine`/`rounds`): guarded members
-    // index cad_lint's CL011 by name tree-wide, and those collide with
-    // ubiquitous unguarded struct fields.
-    ts::MultivariateSeries window_series GUARDED_BY(mu);
-    core::DetectionEngine cad_engine GUARDED_BY(mu);
-    uint64_t rounds_serviced GUARDED_BY(mu) = 0;
+    common::BoundedSampleQueue queue;  // rank 18, producers push alone
+    core::StreamingCad stream;         // rank 20, held across each Push
   };
 
   // Builds the scheduler from the registered weights; after this the tenant
@@ -217,8 +203,12 @@ class FleetEngine {
   // fleet-wide lock).
   void Seal();
   void WorkerLoop();
-  // Services one scheduler quantum. Returns false when no tenant was ready.
-  bool ServiceOne(std::vector<double>* staging);
+  // Services one scheduler quantum, popping into `staging` and reporting
+  // rounds into the worker's reused `event`. Returns false when no tenant
+  // was ready.
+  bool ServiceOne(std::vector<double>* staging, core::StreamEvent* event);
+  // The stream of the tenant registered as `name`; nullptr when none is.
+  const core::StreamingCad* TenantStream(const std::string& name) const;
   static std::unique_ptr<obs::ExpositionServer> MakeServer(FleetEngine* self);
   obs::Registry& fleet_registry() const;
 
@@ -238,7 +228,7 @@ class FleetEngine {
   std::vector<std::thread> workers_;
 
   // Destroyed first: the server thread's handlers read tenants_ and take
-  // tenant locks, so the server must die before any of that does.
+  // stream locks, so the server must die before any of that does.
   std::unique_ptr<obs::ExpositionServer> server_;
 };
 

@@ -18,13 +18,13 @@
 // Growth accounting: Acquire reports whether the arena has already served
 // the caller's problem size (`max_sensors` / `max_window` high-water marks).
 // A quantum on a cold arena is expected to allocate and is excluded from the
-// fleet's steady-state allocation audit; callers update the high-water marks
-// before Release.
+// fleet's steady-state allocation audit; callers raise the high-water marks
+// before Release, and only after a round has actually run on the arena.
 //
 // Synchronization: one mutex at rank lock_order::kFleetWorkspacePool, taken
-// alone (after the scheduler lock is dropped, before the tenant lock is
-// taken). Free-list pushes never allocate: each bucket's free list reserves
-// capacity for every workspace ever created in it at creation time.
+// alone (after the scheduler lock is dropped, never under a stream lock).
+// Free-list pushes never allocate: each bucket's free list reserves capacity
+// for every workspace ever created in it at creation time.
 #ifndef CAD_FLEET_WORKSPACE_POOL_H_
 #define CAD_FLEET_WORKSPACE_POOL_H_
 
@@ -79,8 +79,8 @@ class WorkspacePool {
   static int BucketOf(int n_sensors);
 
  private:
-  // Rank 15 (common/lock_order.h): taken alone between the scheduler and
-  // tenant locks, never while either is held.
+  // Rank 15 (common/lock_order.h): taken alone, never while the scheduler
+  // or a stream lock is held.
   mutable common::Mutex mu_{common::lock_order::kFleetWorkspacePool,
                             "fleet::WorkspacePool::mu_"};
   // free_[b] owns the idle workspaces of bucket b; borrowed ones are owned

@@ -210,7 +210,12 @@ void LouvainInto(const Graph& graph, const LouvainOptions& options,
   // Self-loop weights accumulated by aggregation (not representable in
   // Graph); they only add to a vertex's weighted degree and to the total
   // weight, never to inter-community moves, so we thread them explicitly.
+  // Aggregation swaps the two buffers, so both are sized to n up front:
+  // otherwise a warm workspace reallocates whichever one the swap left here
+  // (the fleet's pooled arenas hit this after a tenant's warm-up). assign,
+  // not reserve: it reuses retained capacity, which is what CL007 permits.
   ws->self_weight.assign(n, 0.0);
+  ws->next_self.assign(n, 0.0);
 
   double previous_modularity = ModularityOverEdges(
       graph, out->community, ws->mod_edges, &ws->community_degree);

@@ -241,40 +241,26 @@ std::string ExpositionServer::BuildResponse(const std::string& request_line) {
         handlers_.healthz_json ? handlers_.healthz_json() : "{}";
     return HttpResponse(200, "OK", "application/json", body);
   }
+  // Both query endpoints route by an optional tenant=; an empty value is
+  // malformed, an absent one reaches the handler as "".
+  std::string tenant;
+  const QueryParam tenant_param = ParseStringParam(query, "tenant=", &tenant);
+  const std::string unknown_tenant =
+      tenant.empty() ? "" : "tenant '" + tenant + "' unknown, or ";
   if (target == "/explain") {
-    std::string tenant;
-    const QueryParam tenant_param =
-        ParseStringParam(query, "tenant=", &tenant);
-    if (tenant_param == QueryParam::kMalformed) {
-      return HttpResponse(400, "Bad Request", "text/plain",
-                          "usage: /explain?tenant=<name>&round=<round>\n");
-    }
     int round = -1;
-    if (ParseIntParam(query, "round=", &round) != QueryParam::kOk) {
+    if (tenant_param == QueryParam::kMalformed ||
+        ParseIntParam(query, "round=", &round) != QueryParam::kOk) {
       return HttpResponse(
           400, "Bad Request", "text/plain",
-          tenant_param == QueryParam::kOk
-              ? "usage: /explain?tenant=<name>&round=<non-negative integer>\n"
-              : "usage: /explain?round=<non-negative integer>\n");
-    }
-    if (tenant_param == QueryParam::kOk) {
-      const std::string body =
-          handlers_.explain_tenant_json
-              ? handlers_.explain_tenant_json(tenant, round)
-              : std::string();
-      if (body.empty()) {
-        return HttpResponse(404, "Not Found", "text/plain",
-                            "tenant '" + tenant + "' is unknown or round " +
-                                std::to_string(round) +
-                                " is not in its flight-recorder ring\n");
-      }
-      return HttpResponse(200, "OK", "application/json", body);
+          "usage: /explain?[tenant=<name>&]round=<non-negative integer>\n");
     }
     const std::string body =
-        handlers_.explain_json ? handlers_.explain_json(round) : std::string();
+        handlers_.explain_json ? handlers_.explain_json(tenant, round)
+                               : std::string();
     if (body.empty()) {
       return HttpResponse(404, "Not Found", "text/plain",
-                          "round " + std::to_string(round) +
+                          unknown_tenant + "round " + std::to_string(round) +
                               " is not in the flight-recorder ring\n");
     }
     return HttpResponse(200, "OK", "application/json", body);
@@ -282,18 +268,21 @@ std::string ExpositionServer::BuildResponse(const std::string& request_line) {
   if (target == "/advise") {
     int from_round = -1;
     int to_round = -1;
-    if (ParseIntParam(query, "from=", &from_round) == QueryParam::kMalformed ||
+    if (tenant_param == QueryParam::kMalformed ||
+        ParseIntParam(query, "from=", &from_round) == QueryParam::kMalformed ||
         ParseIntParam(query, "to=", &to_round) == QueryParam::kMalformed) {
-      return HttpResponse(
-          400, "Bad Request", "text/plain",
-          "usage: /advise?from=<round>&to=<round> (both optional)\n");
+      return HttpResponse(400, "Bad Request", "text/plain",
+                          "usage: /advise?[tenant=<name>&]from=<round>&"
+                          "to=<round> (all optional)\n");
     }
-    const std::string body = handlers_.advise_json
-                                 ? handlers_.advise_json(from_round, to_round)
-                                 : std::string();
+    const std::string body =
+        handlers_.advise_json
+            ? handlers_.advise_json(tenant, from_round, to_round)
+            : std::string();
     if (body.empty()) {
       return HttpResponse(404, "Not Found", "text/plain",
-                          "no recorded rounds in the requested range\n");
+                          unknown_tenant +
+                              "no recorded rounds in the requested range\n");
     }
     return HttpResponse(200, "OK", "application/json", body);
   }
@@ -303,8 +292,8 @@ std::string ExpositionServer::BuildResponse(const std::string& request_line) {
                         "  /metrics                      Prometheus text\n"
                         "  /healthz                      liveness JSON\n"
                         "  /explain?round=r              decision provenance JSON\n"
-                        "  /explain?tenant=name&round=r  fleet tenant provenance\n"
-                        "  /advise?from=a&to=b           root-cause advice JSON\n");
+                        "  /advise?from=a&to=b           root-cause advice JSON\n"
+                        "  a fleet takes tenant=name on /explain and /advise\n");
   }
   return HttpResponse(404, "Not Found", "text/plain", "unknown endpoint\n");
 }

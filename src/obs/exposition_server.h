@@ -10,16 +10,17 @@
 //   /explain?round=r   JSON decision provenance for round r (404 when the
 //                      round is not in the flight-recorder ring, 400 on a
 //                      malformed round)
-//   /explain?tenant=name&round=r
-//                      same, routed to one tenant of a fleet (404 on an
-//                      unknown tenant; requires the owner to install the
-//                      tenant-aware handler — without one the tenant
-//                      parameter is a 404, since the surface has no tenants)
 //   /advise?from=..&to=..  JSON root-cause advice over the round range
 //                      [from, to]; both bounds optional (default: the whole
 //                      ring). 400 on a malformed bound, 404 when the range
 //                      selects no recorded rounds.
 //   /                  plain-text index of the endpoints
+//
+// /explain and /advise also take tenant=name, routing the query to one
+// tenant of a fleet. The handlers receive the tenant ("" when the parameter
+// is absent) and answer empty — a 404 — for a tenant they do not host, so a
+// single-stream owner 404s every tenant= query and a fleet 404s a query
+// without one.
 //
 // Content is produced by caller-supplied handlers, so the server knows
 // nothing about the engine; StreamingCad wires its own lock-taking closures
@@ -55,18 +56,17 @@ class ExpositionServer {
     std::function<std::string()> metrics_text;
     // Body for /healthz (a JSON object).
     std::function<std::string()> healthz_json;
-    // Body for /explain?round=r, or empty when the round is unknown (404).
-    std::function<std::string(int round)> explain_json;
-    // Body for /explain?tenant=name&round=r — the fleet's tenant-routed
-    // provenance. Empty when the tenant is unknown or the round is not in
-    // that tenant's flight-recorder ring (404). A request carrying tenant=
-    // on a surface without this handler is a 404 (no such tenant).
+    // Body for /explain?[tenant=name&]round=r, or empty when the tenant or
+    // the round is unknown (404).
     std::function<std::string(const std::string& tenant, int round)>
-        explain_tenant_json;
-    // Body for /advise?from=..&to=.. — root-cause advice over the inclusive
-    // round range [from_round, to_round], -1 meaning unbounded on that side.
-    // Empty when the range selects no recorded rounds (404).
-    std::function<std::string(int from_round, int to_round)> advise_json;
+        explain_json;
+    // Body for /advise?[tenant=name&]from=..&to=.. — root-cause advice over
+    // the inclusive round range [from_round, to_round], -1 meaning unbounded
+    // on that side. Empty when the tenant is unknown or the range selects no
+    // recorded rounds (404).
+    std::function<std::string(const std::string& tenant, int from_round,
+                              int to_round)>
+        advise_json;
   };
 
   // Binds 127.0.0.1:`port` (0 = ephemeral) and starts the serve thread.

@@ -74,10 +74,15 @@ double SpearmanCorrelation(std::span<const double> x,
   return PearsonCorrelation(rx, ry);
 }
 
-void WindowCorrelationMatrixInto(const ts::MultivariateSeries& series,
-                                 int start, int w, CorrelationKind kind,
-                                 int n_threads, CorrelationScratch* scratch,
-                                 CorrelationMatrix* out) CAD_REALTIME_AUDITED {
+// Cache-line aligned so the dot-product loop keeps one position in the
+// instruction stream whatever code is linked before it. Unaligned, an edit
+// elsewhere in the library moved the 22-byte loop across a 64-byte line and
+// 256-sensor (w = 200) streaming rounds ran ~23 % slower (x86-64 Xeon, GCC
+// -O2); aligned, the loop sits inside one 32-byte fetch block.
+[[gnu::aligned(64)]] void WindowCorrelationMatrixInto(
+    const ts::MultivariateSeries& series, int start, int w,
+    CorrelationKind kind, int n_threads, CorrelationScratch* scratch,
+    CorrelationMatrix* out) CAD_REALTIME_AUDITED {
   const int n = series.n_sensors();
   CAD_CHECK(start >= 0 && start + w <= series.length(), "window out of range");
   out->Reset(n);

@@ -19,6 +19,7 @@
 #include "common/alloc_tracker.h"
 #include "core/cad_detector.h"
 #include "core/streaming.h"
+#include "graph/louvain.h"
 #include "obs/metrics.h"
 #include "testing/synthetic.h"
 
@@ -88,6 +89,31 @@ TEST(EngineAllocTest, StreamingSteadyStateRoundsAreAllocationFree) {
     ++steady_rounds;
   }
   EXPECT_GT(steady_rounds, 50) << "scenario too short to exercise steady state";
+}
+
+TEST(EngineAllocTest, LouvainReusesWorkspaceAfterAggregating) {
+  // Two 5-cliques joined by a weak bridge: the first level merges each
+  // clique, so the run aggregates (and swaps its self-weight buffers) once.
+  // A workspace that has served this graph must serve it again without
+  // touching the heap, whichever buffer the swap left where.
+  common::LinkAllocHook();
+  graph::Graph g(10);
+  for (int base : {0, 5}) {
+    for (int i = 0; i < 5; ++i) {
+      for (int j = i + 1; j < 5; ++j) g.AddEdge(base + i, base + j, 1.0);
+    }
+  }
+  g.AddEdge(0, 5, 0.1);
+  graph::LouvainWorkspace workspace;
+  graph::Partition partition;
+  graph::LouvainInto(g, graph::LouvainOptions{}, &workspace, &partition);
+  ASSERT_EQ(partition.n_communities, 2);
+
+  const int64_t before = common::ThreadAllocCount();
+  graph::LouvainInto(g, graph::LouvainOptions{}, &workspace, &partition);
+  EXPECT_EQ(common::ThreadAllocCount() - before, 0)
+      << "a warm LouvainWorkspace reallocated";
+  EXPECT_EQ(partition.n_communities, 2);
 }
 
 TEST(EngineAllocTest, FlightRecorderWraparoundStaysAllocationFree) {

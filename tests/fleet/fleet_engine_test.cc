@@ -1,10 +1,10 @@
 // FleetEngine end-to-end tests.
 //
 // The load-bearing ones:
-//  - Equivalence: a 1-tenant fleet produces byte-identical anomalies to a
-//    solo StreamingCad fed the same stream — multiplexing through queues,
-//    the scheduler and the shared workspace pool must not change a single
-//    detection decision.
+//  - Equivalence: a 1-tenant fleet produces byte-identical anomalies,
+//    /explain records and /advise bodies to a solo StreamingCad fed the
+//    same stream — multiplexing through queues, the scheduler and the shared
+//    workspace pool must not change a single detection decision.
 //  - Steady-state allocations: after warm-up, service quanta fleet-wide
 //    perform zero heap allocations (this binary links cad_alloc_hook, so
 //    cad_fleet_steady_allocs_total carries real counts).
@@ -18,6 +18,7 @@
 
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "check/check.h"
@@ -39,6 +40,12 @@ core::CadOptions MakeCadOptions() {
   options.tau = 0.55;
   options.theta = 0.9;
   return options;
+}
+
+// The deterministic part of a /explain body: everything before the
+// wall-clock "timings" object.
+std::string WithoutTimings(const std::string& explain_json) {
+  return explain_json.substr(0, explain_json.find(",\"timings\":"));
 }
 
 // Pushes the whole test split of `scenario` into tenant `tenant`, retrying
@@ -82,6 +89,7 @@ TEST(FleetEngineTest, SingleTenantMatchesSoloStreamingCad) {
   FleetOptions fleet_options;
   fleet_options.n_workers = 2;
   fleet_options.queue_capacity = 64;
+  fleet_options.exposition_port = 0;  // ephemeral
   obs::Registry fleet_registry;
   fleet_options.metrics_registry = &fleet_registry;
   FleetEngine fleet(fleet_options);
@@ -91,12 +99,45 @@ TEST(FleetEngineTest, SingleTenantMatchesSoloStreamingCad) {
   ASSERT_TRUE(fleet.Start().ok());
   PushAll(&fleet, tenant, scenario);
   fleet.Drain();
-  fleet.Stop();
 
   const FleetEngine::TenantStatus status =
       fleet.TenantInfo(tenant).ValueOrDie();
   EXPECT_EQ(status.samples_seen, scenario.test.length());
   EXPECT_EQ(static_cast<int>(status.rounds), solo_cold.rounds_completed());
+  EXPECT_NE(fleet.MetricsText().find(
+                "cad_stream_samples_total{tenant=\"t0\"} " +
+                std::to_string(scenario.test.length()) + "\n"),
+            std::string::npos)
+      << "the tenant's sample counter must count every serviced sample";
+
+  // Every round either side still holds explains identically (the
+  // wall-clock timings aside), and the fleet's live /advise?tenant= body is
+  // byte-identical to the solo stream's.
+  int compared = 0;
+  for (int round = 0; round < solo_cold.rounds_completed(); ++round) {
+    const std::string solo_json = solo_cold.ExplainJson(round);
+    const std::string fleet_json = fleet.ExplainTenantJson("t0", round);
+    EXPECT_EQ(WithoutTimings(fleet_json), WithoutTimings(solo_json)) << round;
+    if (!solo_json.empty()) ++compared;
+  }
+  EXPECT_GT(compared, 0);
+  const int port = fleet.exposition_port();
+  const int last_round = solo_cold.rounds_completed() - 1;
+  for (const auto& [query, from, to] :
+       {std::tuple<std::string, int, int>{"", -1, -1},
+        {"&from=" + std::to_string(last_round - 5) + "&to=" +
+             std::to_string(last_round),
+         last_round - 5, last_round}}) {
+    const testing::HttpResponse advise =
+        testing::HttpGet(port, "/advise?tenant=t0" + query);
+    ASSERT_TRUE(advise.ok);
+    EXPECT_EQ(advise.status_code, 200);
+    EXPECT_EQ(advise.body, solo_cold.AdviseJson(from, to)) << query;
+  }
+  EXPECT_EQ(testing::HttpGet(port, "/advise?tenant=nobody").status_code, 404);
+  EXPECT_EQ(testing::HttpGet(port, "/advise").status_code, 404)
+      << "a fleet answers only tenant-routed queries";
+  fleet.Stop();
 
   const std::vector<core::Anomaly> fleet_anomalies =
       fleet.TenantAnomalies(tenant).ValueOrDie();

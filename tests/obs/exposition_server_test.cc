@@ -23,9 +23,17 @@ ExpositionServer::Handlers TestHandlers() {
     return std::string("# TYPE cad_rounds_total counter\ncad_rounds_total 3\n");
   };
   handlers.healthz_json = [] { return std::string("{\"rounds\":3}"); };
-  handlers.explain_json = [](int round) {
-    if (round != 7) return std::string();  // only round 7 "exists"
-    return std::string("{\"record\":{\"round\":7}}");
+  // One untenanted surface plus tenant "t1"; only round 7 "exists" in each.
+  handlers.explain_json = [](const std::string& tenant, int round) {
+    if ((!tenant.empty() && tenant != "t1") || round != 7) return std::string();
+    return "{\"tenant\":\"" + tenant + "\",\"record\":{\"round\":7}}";
+  };
+  handlers.advise_json = [](const std::string& tenant, int from_round,
+                            int to_round) {
+    if (!tenant.empty() && tenant != "t1") return std::string();
+    return "{\"tenant\":\"" + tenant + "\",\"from\":" +
+           std::to_string(from_round) + ",\"to\":" + std::to_string(to_round) +
+           "}";
   };
   return handlers;
 }
@@ -70,12 +78,44 @@ TEST(ExpositionServerTest, ExplainRoutesRoundQuery) {
   EXPECT_EQ(miss.status_code, 404);
 }
 
+TEST(ExpositionServerTest, ExplainAndAdviseRouteTenantQueries) {
+  std::unique_ptr<ExpositionServer> server = StartOrDie();
+  const HttpResponse explain =
+      HttpGet(server->port(), "/explain?tenant=t1&round=7");
+  ASSERT_TRUE(explain.ok);
+  EXPECT_EQ(explain.status_code, 200);
+  EXPECT_EQ(explain.body, "{\"tenant\":\"t1\",\"record\":{\"round\":7}}");
+  EXPECT_EQ(HttpGet(server->port(), "/explain?round=7&tenant=t1").status_code,
+            200);
+  EXPECT_EQ(HttpGet(server->port(), "/explain?tenant=t1&round=8").status_code,
+            404);
+  EXPECT_EQ(
+      HttpGet(server->port(), "/explain?tenant=nobody&round=7").status_code,
+      404);
+
+  const HttpResponse advise =
+      HttpGet(server->port(), "/advise?tenant=t1&from=2&to=5");
+  ASSERT_TRUE(advise.ok);
+  EXPECT_EQ(advise.status_code, 200);
+  EXPECT_EQ(advise.body, "{\"tenant\":\"t1\",\"from\":2,\"to\":5}");
+  // Absent bounds reach the handler as -1, an absent tenant as "".
+  EXPECT_EQ(HttpGet(server->port(), "/advise").body,
+            "{\"tenant\":\"\",\"from\":-1,\"to\":-1}");
+  EXPECT_EQ(HttpGet(server->port(), "/advise?tenant=nobody").status_code, 404);
+}
+
 TEST(ExpositionServerTest, RejectsMalformedRequests) {
   std::unique_ptr<ExpositionServer> server = StartOrDie();
   EXPECT_EQ(HttpGet(server->port(), "/explain").status_code, 400);
   EXPECT_EQ(HttpGet(server->port(), "/explain?round=abc").status_code, 400);
   EXPECT_EQ(HttpGet(server->port(), "/explain?round=-1").status_code, 400);
   EXPECT_EQ(HttpGet(server->port(), "/explain?round=1234567890123").status_code,
+            400);
+  EXPECT_EQ(HttpGet(server->port(), "/explain?tenant=&round=7").status_code,
+            400);
+  EXPECT_EQ(HttpGet(server->port(), "/explain?tenant=t1").status_code, 400);
+  EXPECT_EQ(HttpGet(server->port(), "/advise?from=abc").status_code, 400);
+  EXPECT_EQ(HttpGet(server->port(), "/advise?tenant=&from=1").status_code,
             400);
   EXPECT_EQ(HttpGet(server->port(), "/nowhere").status_code, 404);
   EXPECT_EQ(HttpGet(server->port(), "/").status_code, 200);  // endpoint index
@@ -109,7 +149,7 @@ TEST(ExpositionServerTest, ConcurrentScrapesWhileHandlersMutateState) {
   handlers.healthz_json = [&rounds] {
     return "{\"rounds\":" + std::to_string(rounds.load()) + "}";
   };
-  handlers.explain_json = [&rounds](int round) {
+  handlers.explain_json = [&rounds](const std::string&, int round) {
     return round <= rounds.load() ? std::string("{\"round\":0}")
                                   : std::string();
   };
